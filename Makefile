@@ -119,13 +119,13 @@ scenario-golden:
 # comparison stays advisory (committed records from a quieter reference
 # machine, suite rows too costly to re-measure), but the legacy cf hot
 # paths and the PR 8 incremental hot paths both gate blocking: each
-# script measures a >=2-run noise floor on the current machine first and
-# widens the 10% tolerance to max(0.10, 2 x floor), so only real
-# slowdowns fail.
+# `wsxbench -gate` measures a >=2-run noise floor on the current machine
+# first and widens the 10% tolerance to max(0.10, 2 x floor), so only
+# real slowdowns fail.
 bench-diff:
 	-$(GO) run ./cmd/wsxbench -diff BENCH_PR3.json BENCH_PR6.json
-	./scripts/bench_legacy_diff.sh
-	./scripts/bench_incremental_diff.sh
+	$(GO) run ./cmd/wsxbench -gate legacy
+	$(GO) run ./cmd/wsxbench -gate incremental
 
 # Open-loop load sweep: wsxload drives wsxd's submit+rank mix at
 # GOMAXPROCS 1/2/4 and folds p50/p95/p99 + goodput into BENCH_PR6.json.

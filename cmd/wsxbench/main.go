@@ -23,6 +23,10 @@
 //	                                   # trust sweep, merge into the record
 //	wsxbench -noise a.json b.json      # print the max fractional delta
 //	                                   # between two runs (the noise floor)
+//	wsxbench -gate legacy              # blocking gate: re-measure the cf
+//	                                   # hot paths twice, diff BENCH_PR3.json
+//	wsxbench -gate incremental         # same for the trust hot paths
+//	                                   # against BENCH_PR8.json
 package main
 
 import (
@@ -53,10 +57,19 @@ func main() {
 	diff := flag.Bool("diff", false, "compare two BENCH_PR*.json records (old new) and flag >tolerance hot-path regressions")
 	noise := flag.Bool("noise", false, "print the max fractional hot-path delta between two records (old new) — the run-to-run noise floor")
 	tolerance := flag.Float64("tolerance", 0.10, "fractional regression tolerance for -diff")
-	hot := flag.String("hot", "default", "hot-path set for -diff/-noise: default or incremental")
-	jobsName := flag.String("jobs", "default", "benchmark job set: default (the PR 6 record), incremental (the PR 8 trust sweep), or incremental-gate (warm path only, small pops — the CI gate)")
+	hot := flag.String("hot", "default", "hot-path set for -diff/-noise: default, incremental, or legacy")
+	jobsName := flag.String("jobs", "default", "benchmark job set: default (the PR 6 record), incremental (the PR 8 trust sweep), incremental-gate (warm path only, small pops), legacy-gate (the cf hot paths), or scenario (the PR 9 engine)")
 	merge := flag.Bool("merge", false, "merge results into an existing record instead of replacing its benchmarks")
+	gate := flag.String("gate", "", "run a blocking regression gate and exit 1 on a regression: legacy (cf hot paths vs BENCH_PR3.json) or incremental (trust hot paths vs BENCH_PR8.json)")
 	flag.Parse()
+	if *gate != "" {
+		code, err := runGate(*gate)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wsxbench:", err)
+			os.Exit(2)
+		}
+		os.Exit(code)
+	}
 	if *diff || *noise {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "wsxbench: -diff/-noise need exactly two record paths (old new)")
@@ -98,10 +111,55 @@ func hotSet(name string) ([]benchfmt.HotPath, error) {
 	return nil, fmt.Errorf("unknown hot-path set %q (want default, incremental, or legacy)", name)
 }
 
+// gates maps each -gate name to the committed record it guards and the
+// cheap job set that re-measures that record's hot paths.
+var gates = map[string]struct{ record, jobs string }{
+	"legacy":      {record: "BENCH_PR3.json", jobs: "legacy-gate"},
+	"incremental": {record: "BENCH_PR8.json", jobs: "incremental-gate"},
+}
+
+// runGate is the blocking regression gate for one hot-path set. The
+// committed record was taken on a reference machine, so a raw diff
+// against this one would gate on hardware, not code. The gate therefore
+// measures its own noise floor first — the largest hot-path delta
+// between two back-to-back runs of the current tree, machine noise by
+// construction — and then diffs the record against the first run with
+// tolerance max(0.10, 2 x floor): strict on quiet machines, honest on
+// loud ones. Exit code 1 means a regression beyond the tolerance.
+func runGate(name string) (int, error) {
+	g, ok := gates[name]
+	if !ok {
+		return 0, fmt.Errorf("unknown gate %q (want legacy or incremental)", name)
+	}
+	hot, err := hotSet(name)
+	if err != nil {
+		return 0, err
+	}
+	record, err := benchfmt.Load(g.record)
+	if err != nil {
+		return 0, fmt.Errorf("gate %s needs the committed record: %w", name, err)
+	}
+	jobs, description, err := jobSet(g.jobs, "")
+	if err != nil {
+		return 0, err
+	}
+	var runs [2]benchfmt.Document
+	for i := range runs {
+		fmt.Printf("wsxbench gate %s: run %d/2 (noise floor)\n", name, i+1)
+		if runs[i], err = measure(jobs, description); err != nil {
+			return 0, err
+		}
+	}
+	floor := benchfmt.MaxDelta(runs[0], runs[1], hot)
+	tolerance := max(0.10, 2*floor)
+	fmt.Printf("wsxbench gate %s: noise floor %.4f -> tolerance %.4f\n", name, floor, tolerance)
+	return report(benchfmt.Diff(record, runs[0], hot, tolerance), tolerance, g.record, "this run"), nil
+}
+
 // runNoise prints the largest fractional hot-path delta between two
 // records, in either direction — back-to-back runs of identical code make
-// this the machine's noise floor, which bench_incremental_diff.sh folds
-// into its blocking tolerance.
+// this the machine's noise floor, which runGate folds into its blocking
+// tolerance.
 func runNoise(aPath, bPath string, hot []benchfmt.HotPath) (int, error) {
 	a, err := benchfmt.Load(aPath)
 	if err != nil {
@@ -128,18 +186,23 @@ func runDiff(oldPath, newPath string, hot []benchfmt.HotPath, tolerance float64)
 	if err != nil {
 		return 0, err
 	}
-	regs := benchfmt.Diff(oldDoc, newDoc, hot, tolerance)
+	return report(benchfmt.Diff(oldDoc, newDoc, hot, tolerance), tolerance, oldPath, newPath), nil
+}
+
+// report prints the regressions a diff of oldName -> newName found and
+// returns the exit code: 1 when there are any.
+func report(regs []benchfmt.Regression, tolerance float64, oldName, newName string) int {
 	if len(regs) == 0 {
 		fmt.Printf("wsxbench diff: no hot-path regressions > %.0f%% (%s -> %s)\n",
-			tolerance*100, oldPath, newPath)
-		return 0, nil
+			tolerance*100, oldName, newName)
+		return 0
 	}
 	fmt.Printf("wsxbench diff: %d hot-path regression(s) > %.0f%% (%s -> %s):\n",
-		len(regs), tolerance*100, oldPath, newPath)
+		len(regs), tolerance*100, oldName, newName)
 	for _, r := range regs {
 		fmt.Println("  " + r.String())
 	}
-	return 1, nil
+	return 1
 }
 
 // jobSet returns the named job list and the record description it writes.
@@ -206,12 +269,9 @@ func run(out, benchtime, jobsName string, merge bool) error {
 	if err != nil {
 		return err
 	}
-	doc := benchfmt.Document{
-		Description: description,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
+	doc, err := measure(jobs, description)
+	if err != nil {
+		return err
 	}
 	// Keep entries already in the output file: load tests always (written
 	// by scripts/loadtest.sh), prior benchmarks when merging (so a
@@ -219,7 +279,9 @@ func run(out, benchtime, jobsName string, merge bool) error {
 	if prev, err := benchfmt.Load(out); err == nil {
 		doc.LoadTests = prev.LoadTests
 		if merge {
+			fresh := doc.Benchmarks
 			doc.Benchmarks = prev.Benchmarks
+			doc.MergeBenchmarks(fresh)
 			if prev.Description != "" {
 				doc.Description = prev.Description
 			}
@@ -227,14 +289,26 @@ func run(out, benchtime, jobsName string, merge bool) error {
 	} else if !errors.Is(err, fs.ErrNotExist) && out != "-" {
 		fmt.Fprintf(os.Stderr, "wsxbench: ignoring unreadable %s: %v\n", out, err)
 	}
+	return benchfmt.Save(out, doc)
+}
+
+// measure runs every job and collects the results in one record.
+func measure(jobs []job, description string) (benchfmt.Document, error) {
+	doc := benchfmt.Document{
+		Description: description,
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		NumCPU:      runtime.NumCPU(),
+	}
 	for _, j := range jobs {
 		results, err := runJob(j)
 		if err != nil {
-			return err
+			return doc, err
 		}
 		doc.MergeBenchmarks(results)
 	}
-	return benchfmt.Save(out, doc)
+	return doc, nil
 }
 
 func runJob(j job) ([]benchfmt.Result, error) {

@@ -155,7 +155,7 @@ var DefaultHotPaths = []HotPath{
 }
 
 // LegacyHotPaths are the PR 3 record paths that gate blocking in CI
-// (scripts/bench_legacy_diff.sh): the cf mechanism microbenchmarks, cheap
+// (`wsxbench -gate legacy`): the cf mechanism microbenchmarks, cheap
 // enough to re-measure per run so the gate can compare the committed
 // BENCH_PR3.json against the current machine with a measured noise floor.
 // The suite wall-clock rows in that record stay advisory — they cost
@@ -170,7 +170,7 @@ var LegacyHotPaths = []HotPath{
 
 // IncrementalHotPaths are the PR 8 streaming-update paths: the warm-start
 // submit+score unit of work across the population sweep. These gate
-// blocking in CI (scripts/bench_incremental_diff.sh), with the tolerance
+// blocking in CI (`wsxbench -gate incremental`), with the tolerance
 // widened by a measured ≥2-run noise floor.
 var IncrementalHotPaths = []HotPath{
 	{Name: "IncrementalSubmitScore", Metric: "ns/op"},

@@ -214,3 +214,29 @@ func BenchmarkForServiceView(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFramesSinceAfterSubmit is the read a primary with a live
+// follower makes after every commit: one Submit, then FramesSince from
+// the follower's cursor, over a 100k-record in-memory store. Reading the
+// shard segments keeps it independent of the query view, which a
+// commit invalidates.
+func BenchmarkFramesSinceAfterSubmit(b *testing.B) {
+	inputs := benchFeedback(4096)
+	st := NewStore()
+	for i := 0; i < 100_000; i++ {
+		if err := st.Submit(inputs[i%len(inputs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cursor := st.LastSeq()
+		if err := st.Submit(inputs[i%len(inputs)]); err != nil {
+			b.Fatal(err)
+		}
+		frames, err := st.FramesSince(cursor, 0)
+		if err != nil || len(frames) != 1 {
+			b.Fatalf("FramesSince(%d) gave %d frames, err %v", cursor, len(frames), err)
+		}
+	}
+}

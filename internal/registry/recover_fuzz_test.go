@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,12 +12,13 @@ import (
 // Open never panics, and whatever it reports recovering is exactly what
 // the store holds — corruption may cost records (torn tails are
 // truncated, a bad snapshot falls back to WAL-only replay), but the
-// count is never overstated and a mangled image never produces a wedged
-// or lying store.
+// count is never overstated, the recovered sequence numbers are strictly
+// increasing and contiguous up to LastSeq, and a mangled image never
+// produces a wedged or lying store.
 func FuzzWALRecover(f *testing.F) {
 	// One canonical healthy image: records in the snapshot, records in
-	// the WAL, an epoch promotion so w2 frames and a mark history are on
-	// disk too.
+	// the WAL, an epoch promotion so epoch-1 frames and a mark history
+	// are on disk too.
 	seedDir := f.TempDir()
 	s, _, err := Open(seedDir, WALOptions{})
 	if err != nil {
@@ -54,7 +56,7 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(wal[:len(wal)/2], snap, epoch)
 	f.Add(wal, snap[:len(snap)-7], epoch)
 	f.Add([]byte{}, snap, []byte("e1 borked"))
-	f.Add(append([]byte("w1 1 00000000 {}\n"), wal...), snap, epoch)
+	f.Add(append([]byte("0 1 00000000 {}\n"), wal...), snap, epoch)
 
 	f.Fuzz(func(t *testing.T, wal, snap, epoch []byte) {
 		dir := t.TempDir()
@@ -84,6 +86,15 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		if st.Len() > 0 && st.LastSeq() == 0 {
 			t.Fatalf("store holds %d records but reports sequence 0", st.Len())
+		}
+		recs, _ := st.span(0, math.MaxUint64)
+		for i := range recs {
+			if recs[i].seq != recs[0].seq+uint64(i) {
+				t.Fatalf("recovered seq %d at position %d after %d: not contiguous", recs[i].seq, i, recs[i-1].seq)
+			}
+		}
+		if n := len(recs); n > 0 && recs[n-1].seq != st.LastSeq() {
+			t.Fatalf("last recovered seq %d, store reports %d", recs[n-1].seq, st.LastSeq())
 		}
 		// The recovered store must remain writable: the WAL tail was
 		// truncated to a clean frame boundary.

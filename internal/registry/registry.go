@@ -20,7 +20,11 @@
 package registry
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,17 +71,12 @@ type Store struct {
 	commitCh chan struct{} // guarded by commitMu
 }
 
-// shard is one lock stripe of the store: an append-only segment of
-// sequence-stamped records plus local indexes into it. A (consumer,
-// service) pair always lands in the shard of its service key, so per-pair
-// and per-service history is shard-local while per-consumer history merges
-// across shards.
+// shard is one lock stripe of the store: a segment of sequence-stamped
+// records, kept seq-ascending. A (consumer, service) pair always lands in
+// the shard of its service key.
 type shard struct {
-	mu         sync.RWMutex
-	recs       []record                   // guarded by mu
-	byService  map[core.ServiceID][]int32 // guarded by mu
-	byConsumer map[core.ConsumerID][]int32 // guarded by mu
-	byPair     map[pairKey][]int32        // guarded by mu
+	mu   sync.RWMutex
+	recs []record // guarded by mu; seq-ascending
 }
 
 // record is one stored feedback entry with its global sequence number.
@@ -105,20 +104,11 @@ func shardFor(id core.ServiceID) int {
 // NewStore returns an empty in-memory registry. For a crash-consistent,
 // WAL-backed registry use Open.
 func NewStore() *Store {
-	s := &Store{commitCh: make(chan struct{})}
-	for i := range s.shards {
-		s.shards[i].init()
-	}
-	return s
+	return &Store{commitCh: make(chan struct{})}
 }
 
-//lint:guarded init runs before the shard is shared (NewStore) or with mu held (Reset)
-func (sh *shard) init() {
-	sh.recs = nil
-	sh.byService = map[core.ServiceID][]int32{}
-	sh.byConsumer = map[core.ConsumerID][]int32{}
-	sh.byPair = map[pairKey][]int32{}
-}
+// errClosed rejects writes to a closed store.
+var errClosed = errors.New("registry: store is closed")
 
 // Submit appends one feedback record. Malformed feedback is rejected.
 // Each submit counts as one consumer→registry message. On a WAL-backed
@@ -131,45 +121,10 @@ func (s *Store) Submit(fb core.Feedback) error {
 	if err := fb.Validate(); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	s.state.RLock()
-	if s.closed {
-		s.state.RUnlock()
-		return fmt.Errorf("registry: store is closed")
-	}
-	var seq uint64
-	if s.wal != nil {
-		payload, err := marshalRecord(fb)
-		if err != nil {
-			s.state.RUnlock()
-			return fmt.Errorf("registry: encode for wal: %w", err)
-		}
-		seq, err = s.wal.commit(&s.seq, s.epoch.Load(), payload)
-		if err != nil {
-			s.state.RUnlock()
-			return err
-		}
-	} else {
-		seq = s.seq.Add(1)
-	}
-	sh := &s.shards[shardFor(fb.Service)]
-	sh.mu.Lock()
-	sh.apply(seq, fb)
-	sh.mu.Unlock()
-	s.count.Add(1)
-	s.messages.Add(1)
-	s.version.Add(1)
-	compact := s.wal != nil && s.wal.shouldCompact()
-	s.state.RUnlock()
-	s.notifyCommit()
-	if compact {
-		if err := s.compact(); err != nil {
-			// The record itself is durable in the WAL; a failed compaction
-			// only means the log stays long. Surface it without undoing
-			// the accepted submit.
-			return fmt.Errorf("registry: auto-compaction: %w", err)
-		}
-	}
-	return nil
+	one := [1]core.Feedback{fb}
+	var frame [1]Frame
+	_, err := s.write(one[:], frame[:], false)
+	return err
 }
 
 // SubmitBatch appends a batch of feedback records atomically with respect
@@ -190,62 +145,158 @@ func (s *Store) SubmitBatch(fbs []core.Feedback) error {
 			return fmt.Errorf("registry: batch record %d: %w", i, err)
 		}
 	}
+	_, err := s.write(fbs, make([]Frame, len(fbs)), false)
+	return err
+}
+
+// write is the one write path: Submit, SubmitBatch and ApplyReplicated
+// all commit through it, so the durability protocol and the publish tail
+// exist once. frames[i] is fbs[i]'s frame. Local records (replicated
+// false) are encoded and stamped with the current epoch here, and
+// numbered by the commit; replicated frames arrive numbered by their
+// primary and must pass checkFrame against the log they extend.
+// committed reports whether the records were applied — an error with
+// committed set is a failed auto-compaction, not a rejected write.
+func (s *Store) write(fbs []core.Feedback, frames []Frame, replicated bool) (committed bool, err error) {
 	s.state.RLock()
 	if s.closed {
 		s.state.RUnlock()
-		return fmt.Errorf("registry: store is closed")
+		return false, errClosed
 	}
-	var seq uint64
-	if s.wal != nil {
-		payloads := make([][]byte, len(fbs))
-		for i := range fbs {
-			p, err := marshalRecord(fbs[i])
-			if err != nil {
+	if replicated {
+		marks := s.Marks()
+		prev := s.seq.Load()
+		for i := range frames {
+			if err := checkFrame(frames[i], prev, marks); err != nil {
 				s.state.RUnlock()
-				return fmt.Errorf("registry: encode batch record %d for wal: %w", i, err)
+				return false, err
 			}
-			payloads[i] = p
+			prev = frames[i].Seq
 		}
-		first, err := s.wal.commitBatch(&s.seq, s.epoch.Load(), payloads)
-		if err != nil {
-			s.state.RUnlock()
-			return err
-		}
-		seq = first
-	} else {
-		seq = s.seq.Add(uint64(len(fbs))) - uint64(len(fbs)) + 1
 	}
+	switch {
+	case s.wal != nil:
+		if !replicated {
+			epoch := s.epoch.Load()
+			for i := range fbs {
+				payload, err := marshalRecord(fbs[i])
+				if err != nil {
+					s.state.RUnlock()
+					return false, fmt.Errorf("registry: encode record %d for wal: %w", i, err)
+				}
+				frames[i] = Frame{Epoch: epoch, Payload: payload}
+			}
+		}
+		err = s.wal.commit(&s.seq, frames, !replicated)
+	case !replicated:
+		frames[0].Seq = s.seq.Add(uint64(len(frames))) - uint64(len(frames)) + 1
+	}
+	if err != nil {
+		s.state.RUnlock()
+		return false, err
+	}
+	return true, s.publish(frames[0].Seq, fbs, !replicated, false)
+}
+
+// publish is the post-commit tail every write path shares (write, and
+// SeedFromSnapshot): install the committed records first,
+// first+1, ... in their shards, bump the counters and the view version,
+// advance the sequence number to the last record if the commit did not,
+// release the state lock the caller holds (exclusively or shared), wake
+// Updates waiters, and run the auto-compaction a full WAL asks for.
+// counted adds the records to the message count (local submits only —
+// replicated and seeded records were counted on their primary).
+//
+//lint:guarded publish runs with s.state held by its caller and releases it
+func (s *Store) publish(first uint64, fbs []core.Feedback, counted, exclusive bool) error {
 	for i := range fbs {
 		sh := &s.shards[shardFor(fbs[i].Service)]
 		sh.mu.Lock()
-		sh.apply(seq+uint64(i), fbs[i])
+		sh.apply(first+uint64(i), fbs[i])
 		sh.mu.Unlock()
 	}
 	s.count.Add(int64(len(fbs)))
-	s.messages.Add(int64(len(fbs)))
+	if counted {
+		s.messages.Add(int64(len(fbs)))
+	}
 	s.version.Add(1)
+	// Seeded and in-memory replicated records arrive numbered: advance
+	// the counter only now that they are visible, so a reader that sees
+	// LastSeq reach a record also finds it.
+	last := first + uint64(len(fbs)) - 1
+	for cur := s.seq.Load(); cur < last && !s.seq.CompareAndSwap(cur, last); cur = s.seq.Load() {
+	}
 	compact := s.wal != nil && s.wal.shouldCompact()
-	s.state.RUnlock()
+	if exclusive {
+		s.state.Unlock()
+	} else {
+		s.state.RUnlock()
+	}
 	s.notifyCommit()
 	if compact {
 		if err := s.compact(); err != nil {
+			// The records themselves are durable in the WAL; a failed
+			// compaction only means the log stays long. Surface it
+			// without undoing the accepted write.
 			return fmt.Errorf("registry: auto-compaction: %w", err)
 		}
 	}
 	return nil
 }
 
-// apply appends one sequence-stamped record to the shard segment and its
-// local indexes.
+// apply inserts one sequence-stamped record into the shard, keeping the
+// segment seq-ascending. Records almost always arrive in order; a
+// committer that lost the race for the shard lock to a later sequence
+// number of the same group commit lands a few slots back.
 //
 //lint:guarded apply runs with the shard's mu held (Submit, recovery)
 func (sh *shard) apply(seq uint64, fb core.Feedback) {
-	pos := int32(len(sh.recs))
-	sh.recs = append(sh.recs, record{seq: seq, fb: fb})
-	sh.byService[fb.Service] = append(sh.byService[fb.Service], pos)
-	sh.byConsumer[fb.Consumer] = append(sh.byConsumer[fb.Consumer], pos)
-	k := pairKey{fb.Consumer, fb.Service}
-	sh.byPair[k] = append(sh.byPair[k], pos)
+	i := len(sh.recs)
+	sh.recs = append(sh.recs, record{})
+	for ; i > 0 && sh.recs[i-1].seq > seq; i-- {
+		sh.recs[i] = sh.recs[i-1]
+	}
+	sh.recs[i] = record{seq: seq, fb: fb}
+}
+
+// after returns the position of the shard's first record with a sequence
+// number above seq.
+//
+//lint:guarded after runs with the shard's mu held
+func (sh *shard) after(seq uint64) int {
+	return sort.Search(len(sh.recs), func(i int) bool { return sh.recs[i].seq > seq })
+}
+
+// span collects the applied records with after < seq <= upto straight
+// from the shards — one binary search each, no view build — and returns
+// them in sequence order, together with the lowest sequence number the
+// store holds (0 when it holds none). A racing commit's shard apply may
+// still be in flight, so the result can have gaps; see contiguous.
+func (s *Store) span(after, upto uint64) (recs []record, lowest uint64) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		if len(sh.recs) > 0 && (lowest == 0 || sh.recs[0].seq < lowest) {
+			lowest = sh.recs[0].seq
+		}
+		for j := sh.after(after); j < len(sh.recs) && sh.recs[j].seq <= upto; j++ {
+			recs = append(recs, sh.recs[j])
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	return recs, lowest
+}
+
+// contiguous cuts seq-ascending recs to the gap-free run from, from+1, …
+// (empty when recs does not start at from).
+func contiguous(recs []record, from uint64) []record {
+	for i := range recs {
+		if recs[i].seq != from+uint64(i) {
+			return recs[:i]
+		}
+	}
+	return recs
 }
 
 // applyRecovered installs one replayed record during Open. Recovery is
@@ -257,11 +308,8 @@ func (s *Store) applyRecovered(seq uint64, fb core.Feedback) {
 	sh.mu.Lock()
 	sh.apply(seq, fb)
 	sh.mu.Unlock()
-	if seq > s.seq.Load() {
-		s.seq.Store(seq)
-	}
+	s.seq.Store(seq)
 	s.count.Add(1)
-	s.version.Add(1)
 }
 
 // Len reports the number of stored feedback records.
@@ -351,16 +399,21 @@ func (s *Store) FacetSeries(id core.ServiceID, facet core.Facet) []float64 {
 func (s *Store) Reset() {
 	s.state.Lock()
 	defer s.state.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.init()
-		sh.mu.Unlock()
-	}
+	s.clearShards()
 	s.count.Store(0)
 	s.gen.Add(1)
 	s.version.Add(1)
 	s.notifyCommit()
+}
+
+// clearShards drops every stored record; callers hold s.state exclusively.
+func (s *Store) clearShards() {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.recs = nil
+		sh.mu.Unlock()
+	}
 }
 
 // clip caps the slice at its length so a caller's append cannot write into

@@ -1,35 +1,43 @@
 package registry
 
-// Replication surface of the store (PR 10). A primary ships its committed
-// WAL frames to followers; a follower applies them through
-// ApplyReplicated, which re-runs the exact durable path Submit uses (WAL
-// group commit, then shard apply), so a replica's on-disk log is
-// byte-identical to the primary's frame for frame.
+// Replication surface of the store. A primary ships its committed WAL
+// frames to followers; a follower applies them through ApplyReplicated,
+// which runs the same write path Submit uses (WAL group commit, then
+// shard apply), so a replica's on-disk log is byte-identical to the
+// primary's frame for frame.
+//
+// The stream speaks the WAL's one frame layout (see wal.go):
+// "<epoch> <seq> <crc32-hex8> <json>\n", with a checksum over epoch,
+// sequence number and payload. ParseWire verifies the checksum, and
+// ApplyReplicated accepts a frame only by the rule recovery replays the
+// WAL with (checkFrame): it extends the log by exactly one sequence
+// number and carries the epoch the mark history assigns to it.
 //
 // Fencing epochs make failover safe. Every frame carries the epoch of the
-// primary that wrote it (epoch 0 frames keep the legacy "w1" layout).
-// Promoting a follower appends an EpochMark {epoch+1, lastSeq+1} to the
-// durable epoch history (epoch.wsx); frames a deposed primary keeps
-// writing at the old epoch then fail ApplyReplicated's epoch check, and a
-// rejoining old primary whose history disagrees with the marks is detected
-// as diverged and must re-seed from a snapshot. The marks are tiny
-// (one line per promotion, ever) and shipped alongside the stream.
+// primary that wrote it. Promoting a follower appends an EpochMark
+// {epoch+1, lastSeq+1} to the durable epoch history (epoch.wsx); frames a
+// deposed primary keeps writing at the old epoch then fail that rule, and
+// a rejoining old primary whose history disagrees with the marks is
+// detected as diverged and must re-seed from a snapshot. The marks are
+// tiny (one line per promotion, ever) and shipped alongside the stream.
 //
-// The read side — FramesSince, WriteSnapshotTo — serves from the immutable
-// copy-on-write View, so shipping frames never blocks or locks the write
-// path. Updates exposes a channel-close broadcast that fires on every
-// commit, letting a streamer block for "new frames" without polling.
+// The read side — FramesSince, WriteSnapshotTo — reads the seq-ascending
+// shard segments directly (one binary search per shard), so shipping
+// frames never forces a query-view rebuild or blocks the write path.
+// Updates exposes a channel-close broadcast that fires on every commit,
+// letting a streamer block for "new frames" without polling.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -85,51 +93,50 @@ func (f Frame) Feedback() (core.Feedback, error) {
 }
 
 // ParseWire decodes and checksum-verifies one wire line (without its
-// trailing newline). Both the legacy epoch-0 "w1" and the epoch-stamped
-// "w2" layouts are accepted.
+// trailing newline): "<epoch> <seq> <crc32-hex8> <payload>". The
+// checksum covers the epoch and sequence digits as well as the payload,
+// so a single flipped bit anywhere in the line is caught. The returned
+// Payload aliases line.
 func ParseWire(line []byte) (Frame, error) {
 	var f Frame
-	s := string(line)
-	switch {
-	case strings.HasPrefix(s, framePrefixE+" "):
-		rest := s[len(framePrefixE)+1:]
-		epochStr, tail, ok := strings.Cut(rest, " ")
-		if !ok {
-			return f, fmt.Errorf("registry: short frame %q", line)
-		}
-		epoch, err := strconv.ParseUint(epochStr, 10, 64)
-		if err != nil || epoch == 0 {
-			return f, fmt.Errorf("registry: bad frame epoch %q", epochStr)
-		}
-		f.Epoch = epoch
-		s = tail
-	case strings.HasPrefix(s, framePrefix+" "):
-		s = s[len(framePrefix)+1:]
-	default:
-		return f, fmt.Errorf("registry: bad frame prefix in %q", clipForError(line))
-	}
-	seqStr, rest, ok := strings.Cut(s, " ")
-	if !ok {
+	sp1 := bytes.IndexByte(line, ' ')
+	if sp1 < 0 {
 		return f, fmt.Errorf("registry: short frame %q", clipForError(line))
 	}
-	crcStr, payload, ok := strings.Cut(rest, " ")
-	if !ok {
+	sp2 := bytes.IndexByte(line[sp1+1:], ' ') + sp1 + 1
+	if sp2 <= sp1 || len(line) < sp2+10 || line[sp2+9] != ' ' {
 		return f, fmt.Errorf("registry: short frame %q", clipForError(line))
 	}
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
+	epoch, err1 := strconv.ParseUint(string(line[:sp1]), 10, 64)
+	seq, err2 := strconv.ParseUint(string(line[sp1+1:sp2]), 10, 64)
+	if err1 != nil || err2 != nil || seq == 0 {
+		return f, fmt.Errorf("registry: bad frame header %q", clipForError(line))
+	}
+	want, err := strconv.ParseUint(string(line[sp2+1:sp2+9]), 16, 32)
 	if err != nil {
-		return f, fmt.Errorf("registry: bad frame seq %q: %w", seqStr, err)
+		return f, fmt.Errorf("registry: bad frame checksum field %q", line[sp2+1:sp2+9])
 	}
-	want, err := strconv.ParseUint(crcStr, 16, 32)
-	if err != nil || len(crcStr) != 8 {
-		return f, fmt.Errorf("registry: bad frame checksum field %q", crcStr)
-	}
-	if got := crc32.ChecksumIEEE([]byte(payload)); got != uint32(want) {
+	payload := line[sp2+10:]
+	if got := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, line[:sp2]); got != uint32(want) {
 		return f, fmt.Errorf("registry: frame %d checksum mismatch (%08x != %08x)", seq, got, uint32(want))
 	}
-	f.Seq = seq
-	f.Payload = []byte(payload)
-	return f, nil
+	return Frame{Epoch: epoch, Seq: seq, Payload: payload}, nil
+}
+
+// checkFrame is the frame-validation rule WAL recovery (replayWAL) and
+// replication (ApplyReplicated) share: a frame is accepted only if it
+// extends the log ending at prev by exactly one sequence number, and
+// carries the epoch the mark history assigns that number. Its checksum
+// was verified by ParseWire, the one decoder of frame bytes. ErrSeqGap
+// and ErrFenced tell the failures apart.
+func checkFrame(f Frame, prev uint64, marks []EpochMark) error {
+	if f.Seq != prev+1 {
+		return fmt.Errorf("%w: frame %d follows %d", ErrSeqGap, f.Seq, prev)
+	}
+	if want := epochAt(marks, f.Seq); f.Epoch != want {
+		return fmt.Errorf("%w: frame %d stamped epoch %d, marks say %d", ErrFenced, f.Seq, f.Epoch, want)
+	}
+	return nil
 }
 
 // clipForError bounds a corrupt line quoted into an error message.
@@ -346,57 +353,43 @@ func (s *Store) notifyCommit() {
 }
 
 // FramesSince returns up to max committed frames with sequence numbers
-// > after, in order, rendered from the copy-on-write view (no locks on the
-// write path). An empty result means the caller is caught up; ErrHorizon
-// means after predates the in-memory log (possible after an experiment
-// Reset) and the caller must bootstrap from a snapshot.
+// > after, in order, read from the shard segments (no locks on the write
+// path beyond brief shard read locks). An empty result means the caller
+// is caught up — or a racing commit's shard apply has not landed yet, and
+// its Updates broadcast follows; ErrHorizon means after predates the
+// in-memory log (possible after an experiment Reset) and the caller must
+// bootstrap from a snapshot.
 func (s *Store) FramesSince(after uint64, max int) ([]Frame, error) {
 	if max <= 0 {
 		max = 1 << 9
 	}
-	v := s.currentView()
-	if after >= v.maxSeq {
+	if after >= s.seq.Load() {
 		return nil, nil
 	}
-	if len(v.seqs) == 0 || after+1 < v.seqs[0] {
+	recs, lowest := s.span(after, after+uint64(max))
+	if lowest > after+1 {
 		return nil, fmt.Errorf("%w: cursor %d predates the in-memory log", ErrHorizon, after)
 	}
-	// The view may hold sequence gaps: a racing writer's shard apply can
-	// land after the view build collected its shard, so position i does
-	// NOT imply sequence base+i+1. Ship only the contiguous run starting
-	// exactly at the cursor; a gap at or past the cursor means the missing
-	// record's commit broadcast will wake the stream again shortly.
-	start := sort.Search(len(v.seqs), func(i int) bool { return v.seqs[i] > after })
-	if start == len(v.seqs) || v.seqs[start] != after+1 {
-		return nil, nil
-	}
-	end := len(v.seqs)
-	if end-start > max {
-		end = start + max
-	}
+	recs = contiguous(recs, after+1)
 	marks := s.Marks()
-	frames := make([]Frame, 0, end-start)
-	for i := start; i < end; i++ {
-		seq := v.seqs[i]
-		if seq != after+1+uint64(i-start) {
-			break // gap: stop at the contiguous prefix
-		}
-		payload, err := marshalRecord(v.log[i])
+	frames := make([]Frame, 0, len(recs))
+	for _, r := range recs {
+		payload, err := marshalRecord(r.fb)
 		if err != nil {
 			return nil, fmt.Errorf("registry: encode frame: %w", err)
 		}
-		frames = append(frames, Frame{Epoch: epochAt(marks, seq), Seq: seq, Payload: payload})
+		frames = append(frames, Frame{Epoch: epochAt(marks, r.seq), Seq: r.seq, Payload: payload})
 	}
 	return frames, nil
 }
 
-// ApplyReplicated appends frames a primary shipped, running the same
-// durable path as Submit: WAL group commit first, then shard apply. The
-// batch must contiguously extend the store's sequence (ErrSeqGap
-// otherwise) and every frame's epoch must match what the installed mark
-// history assigns to its sequence number (ErrFenced otherwise — the
-// frame was written by a deposed primary). Replicated records do not
-// count as consumer messages; they were counted at first submission.
+// ApplyReplicated appends frames a primary shipped, through the write
+// path Submit uses: WAL group commit first, then shard apply. Each frame
+// must pass checkFrame against the log it extends — ErrSeqGap when the
+// batch does not contiguously extend the store's sequence, ErrFenced
+// when a frame's epoch is not the one the installed mark history assigns
+// (the write of a deposed primary). Replicated records do not count as
+// consumer messages; they were counted at first submission.
 //
 // The store must not accept local Submits concurrently — replica roles
 // are exclusive (wsxd rejects writes in follower role), and the seq
@@ -407,12 +400,6 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 	}
 	fbs := make([]core.Feedback, len(frames))
 	for i, f := range frames {
-		if i > 0 && f.Seq != frames[i-1].Seq+1 {
-			return nil, fmt.Errorf("%w: frame %d follows %d", ErrSeqGap, f.Seq, frames[i-1].Seq)
-		}
-		if want := s.EpochAt(f.Seq); f.Epoch != want {
-			return nil, fmt.Errorf("%w: frame %d stamped epoch %d, marks say %d", ErrFenced, f.Seq, f.Epoch, want)
-		}
 		fb, err := f.Feedback()
 		if err != nil {
 			return nil, err
@@ -422,95 +409,55 @@ func (s *Store) ApplyReplicated(frames []Frame) ([]core.Feedback, error) {
 		}
 		fbs[i] = fb
 	}
-	s.state.RLock()
-	if s.closed {
-		s.state.RUnlock()
-		return nil, errors.New("registry: store is closed")
+	committed, err := s.write(fbs, frames, true)
+	if !committed {
+		return nil, err
 	}
-	if want := s.seq.Load() + 1; frames[0].Seq != want {
-		s.state.RUnlock()
-		return nil, fmt.Errorf("%w: batch starts at %d, want %d", ErrSeqGap, frames[0].Seq, want)
-	}
-	if s.wal != nil {
-		if err := s.wal.commitReplicated(&s.seq, frames); err != nil {
-			s.state.RUnlock()
-			return nil, err
-		}
-	} else {
-		s.seq.Store(frames[len(frames)-1].Seq)
-	}
-	for i := range fbs {
-		sh := &s.shards[shardFor(fbs[i].Service)]
-		sh.mu.Lock()
-		sh.apply(frames[i].Seq, fbs[i])
-		sh.mu.Unlock()
-	}
-	s.count.Add(int64(len(fbs)))
-	s.version.Add(1)
-	compact := s.wal != nil && s.wal.shouldCompact()
-	s.state.RUnlock()
-	s.notifyCommit()
-	if compact {
-		if err := s.compact(); err != nil {
-			return fbs, fmt.Errorf("registry: auto-compaction: %w", err)
-		}
-	}
-	return fbs, nil
+	return fbs, err
 }
 
 // WriteSnapshotTo streams the store's full state in the checksummed
 // snapshot document format — the payload of a replica bootstrap transfer.
-// It reads the copy-on-write view, so concurrent submits are not blocked;
-// the document is consistent as of the view (records and lastSeq agree).
+// It reads the shard segments, so concurrent submits are not blocked. A
+// racing commit's shard apply may not have landed yet; the document stops
+// at the gap (records and lastSeq agree) and the stream ships the rest.
 func (s *Store) WriteSnapshotTo(w io.Writer) (records int, lastSeq uint64, err error) {
-	v := s.currentView()
-	// Clip to the view's contiguous prefix: a racing writer's shard apply
-	// may not have landed yet, leaving a sequence gap that the document's
-	// positional encoding would mislabel. The follower streams whatever
-	// the clip leaves out.
-	log, seqs := v.log, v.seqs
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			log, seqs = log[:i], seqs[:i]
-			break
+	recs, _ := s.span(0, math.MaxUint64)
+	log := make([]core.Feedback, 0, len(recs))
+	if len(recs) > 0 {
+		for _, r := range contiguous(recs, recs[0].seq) {
+			log = append(log, r.fb)
 		}
+		lastSeq = recs[len(log)-1].seq
 	}
-	last := v.maxSeq
-	if n := len(seqs); n > 0 {
-		last = seqs[n-1]
-	} else if len(v.log) > 0 {
-		// log without seqs cannot be encoded faithfully; empty document.
-		log = nil
-		last = 0
-	}
-	doc, err := buildSnapshotDoc(log, last, s.Marks())
+	header, body, err := buildSnapshotDoc(log, lastSeq, s.Marks())
 	if err != nil {
 		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
 	}
-	if _, err := w.Write(doc); err != nil {
-		return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
+	for _, chunk := range [][]byte{header, body} {
+		if _, err := w.Write(chunk); err != nil {
+			return 0, 0, fmt.Errorf("registry: snapshot transfer: %w", err)
+		}
 	}
-	return len(log), last, nil
+	return len(log), lastSeq, nil
 }
 
 // SeedFromSnapshot bootstraps an empty store from a snapshot document (as
 // produced by WriteSnapshotTo). The document is verified strictly — a
-// transfer that fails its checksum is rejected, never half-applied. On a
-// durable store the document bytes land as the local snapshot file
-// (atomically) and the WAL is truncated, so a crash right after the seed
-// recovers to the same state. The store must be empty (no records, seq 0).
+// transfer that fails a checksum or skips a sequence number is rejected,
+// never half-applied. On a durable
+// store the document bytes land as the local snapshot file (atomically)
+// and the WAL is truncated, so a crash right after the seed recovers to
+// the same state. The store must be empty (no records, seq 0).
 func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
-	frames, lastSeq, corrupt, err := parseSnapshotDoc(data, "snapshot transfer")
-	if err == nil && corrupt != nil {
-		err = corrupt
-	}
+	doc, err := parseSnapshotDoc(data, "snapshot transfer")
 	if err != nil {
 		return 0, fmt.Errorf("registry: seed: %w", err)
 	}
 	s.state.Lock()
 	if s.closed {
 		s.state.Unlock()
-		return 0, errors.New("registry: store is closed")
+		return 0, errClosed
 	}
 	if s.count.Load() != 0 || s.seq.Load() != 0 {
 		s.state.Unlock()
@@ -521,26 +468,12 @@ func (s *Store) SeedFromSnapshot(data []byte) (int, error) {
 			s.state.Unlock()
 			return 0, fmt.Errorf("registry: seed: %w", err)
 		}
-		if err := s.wal.f.Truncate(0); err != nil {
+		if err := s.wal.truncate(); err != nil {
 			s.state.Unlock()
 			return 0, fmt.Errorf("registry: seed: truncate wal: %w", err)
 		}
-		s.wal.resetForReseed()
 	}
-	for _, fr := range frames {
-		sh := &s.shards[shardFor(fr.fb.Service)]
-		sh.mu.Lock()
-		sh.apply(fr.seq, fr.fb)
-		sh.mu.Unlock()
-	}
-	if lastSeq > 0 {
-		s.seq.Store(lastSeq)
-	}
-	s.count.Add(int64(len(frames)))
-	s.version.Add(1)
-	s.state.Unlock()
-	s.notifyCommit()
-	return len(frames), nil
+	return len(doc.log), s.publish(doc.lastSeq-uint64(len(doc.log))+1, doc.log, false, true)
 }
 
 // ResetReplica wipes the store back to an empty, epoch-0 state: in-memory
@@ -552,24 +485,18 @@ func (s *Store) ResetReplica() error {
 	s.state.Lock()
 	if s.closed {
 		s.state.Unlock()
-		return errors.New("registry: store is closed")
+		return errClosed
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.init()
-		sh.mu.Unlock()
-	}
+	s.clearShards()
 	s.count.Store(0)
 	s.seq.Store(0)
 	s.gen.Add(1)
 	s.version.Add(1)
 	if s.wal != nil {
-		if err := s.wal.f.Truncate(0); err != nil {
+		if err := s.wal.truncate(); err != nil {
 			s.state.Unlock()
 			return fmt.Errorf("registry: reset replica: truncate wal: %w", err)
 		}
-		s.wal.resetForReseed()
 		for _, name := range []string{snapshotName, epochName} {
 			if err := os.Remove(filepath.Join(s.wal.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				s.state.Unlock()
@@ -584,17 +511,4 @@ func (s *Store) ResetReplica() error {
 	s.state.Unlock()
 	s.notifyCommit()
 	return nil
-}
-
-// resetForReseed clears the writer's queue accounting after the WAL file
-// was truncated with the world quiesced (ResetReplica, SeedFromSnapshot).
-func (w *walWriter) resetForReseed() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pending = w.pending[:0]
-	w.pendingFrames = 0
-	w.pendingTop = 0
-	w.acked = 0
-	w.unsynced = 0
-	w.frames = 0
 }

@@ -3,6 +3,8 @@ package registry
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,12 +35,13 @@ func TestFrameWireRoundTrip(t *testing.T) {
 		if got.Epoch != epoch || got.Seq != 42 || !bytes.Equal(got.Payload, fr.Payload) {
 			t.Fatalf("epoch %d: round trip mangled frame: %+v", epoch, got)
 		}
-		// Epoch-0 frames must keep the legacy w1 layout byte for byte.
-		if epoch == 0 && !bytes.HasPrefix(wire, []byte("w1 ")) {
-			t.Fatalf("epoch 0 frame lost legacy layout: %q", wire[:8])
-		}
-		if epoch != 0 && !bytes.HasPrefix(wire, []byte("w2 ")) {
-			t.Fatalf("epoch %d frame not in w2 layout: %q", epoch, wire[:8])
+		// One layout for every epoch: "<epoch> <seq> <crc32-hex8> <json>",
+		// the checksum extending the payload's CRC over the header digits.
+		head := fmt.Sprintf("%d 42", epoch)
+		crc := crc32.Update(crc32.ChecksumIEEE(fr.Payload), crc32.IEEETable, []byte(head))
+		want := fmt.Sprintf("%s %08x %s\n", head, crc, fr.Payload)
+		if string(wire) != want {
+			t.Fatalf("epoch %d: wire %q, want %q", epoch, wire, want)
 		}
 	}
 }
@@ -47,17 +50,26 @@ func TestFrameWireRejectsCorruption(t *testing.T) {
 	fr := frameFor(t, 3, 9, 0)
 	wire := fr.AppendWire(nil)
 	line := wire[:len(wire)-1]
-	// Flip one payload byte: the CRC must catch it.
-	bad := append([]byte(nil), line...)
-	bad[len(bad)-2] ^= 0x40
-	if _, err := ParseWire(bad); err == nil {
-		t.Fatal("corrupted payload parsed cleanly")
+	// Flip one bit in the payload, the epoch, the sequence number and the
+	// checksum field in turn: the checksum covers all of them.
+	for name, off := range map[string]int{"payload": len(line) - 2, "epoch": 0, "seq": 2, "crc": 5} {
+		bad := append([]byte(nil), line...)
+		bad[off] ^= 0x02
+		if _, err := ParseWire(bad); err == nil {
+			t.Fatalf("%s bit flip %q parsed cleanly", name, bad)
+		}
 	}
-	if _, err := ParseWire([]byte("w9 1 2 deadbeef {}")); err == nil {
-		t.Fatal("unknown frame prefix parsed cleanly")
-	}
-	if _, err := ParseWire([]byte("w2 0 2 00000000 {}")); err == nil {
-		t.Fatal("w2 frame with epoch 0 parsed cleanly")
+	for _, bad := range []string{
+		"w2 3 9 deadbeef {}", // a prefix is not an epoch
+		"3 0 00000000 {}",    // sequence numbers start at 1
+		"3 9 deadbeef",       // no payload separator
+		"3 9 deadbee {}",     // short checksum field
+		"+3 9 deadbeef {}",   // signed epoch
+		"3  9 deadbeef {}",   // empty field
+	} {
+		if _, err := ParseWire([]byte(bad)); err == nil {
+			t.Fatalf("malformed frame %q parsed cleanly", bad)
+		}
 	}
 }
 

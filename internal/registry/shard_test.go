@@ -2,8 +2,10 @@ package registry
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,6 +153,86 @@ func TestDurableHammer(t *testing.T) {
 	}
 }
 
+// TestRacingSubmitsShipContiguously piles concurrent submits onto one
+// service — one shard, so committers race for its lock and land out of
+// sequence order — while a follower-style reader tails FramesSince from
+// its cursor and a second reader forces view refreshes. Every batch the
+// tailer receives must continue its cursor exactly; afterwards the shard
+// must be seq-ascending and the view log in sequence order. Run with
+// -race.
+func TestRacingSubmitsShipContiguously(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		st := NewStore()
+		if durable {
+			st, _ = openT(t, t.TempDir(), WALOptions{SyncEvery: 4})
+		}
+		const writers, perG = 8, 100
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					fb := richFeedback(w*perG + i)
+					fb.Service = core.NewServiceID(0)
+					if err := st.Submit(fb); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				_ = st.ForService(core.NewServiceID(0))
+			}
+		}()
+		tailed := make(chan error, 1)
+		go func() {
+			cursor := uint64(0)
+			for cursor < writers*perG {
+				frames, err := st.FramesSince(cursor, 64)
+				if err != nil {
+					tailed <- err
+					return
+				}
+				for _, f := range frames {
+					if f.Seq != cursor+1 {
+						tailed <- fmt.Errorf("frame %d after cursor %d", f.Seq, cursor)
+						return
+					}
+					cursor = f.Seq
+				}
+			}
+			tailed <- nil
+		}()
+		wg.Wait()
+		if err := <-tailed; err != nil {
+			t.Fatalf("durable=%v: tailer: %v", durable, err)
+		}
+		sh := &st.shards[shardFor(core.NewServiceID(0))]
+		for i := 1; i < len(sh.recs); i++ {
+			if sh.recs[i].seq <= sh.recs[i-1].seq {
+				t.Fatalf("durable=%v: shard holds seq %d after %d", durable, sh.recs[i].seq, sh.recs[i-1].seq)
+			}
+		}
+		if len(sh.recs) != writers*perG || st.Len() != writers*perG {
+			t.Fatalf("durable=%v: shard holds %d records, store %d, want %d", durable, len(sh.recs), st.Len(), writers*perG)
+		}
+		log := st.currentView().log
+		for i, r := range sh.recs {
+			if !reflect.DeepEqual(log[i], r.fb) {
+				t.Fatalf("durable=%v: view log position %d is not record seq %d", durable, i, r.seq)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestGroupCommitBatchesFsyncs: many concurrent submits on a SyncEvery:1
 // store must complete with far fewer fsyncs than submits — the group
 // commit amortization. We can't count fsyncs directly, but we can verify
@@ -186,14 +268,14 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	}
 	last := uint64(0)
 	for i, line := range lines {
-		_, seq, _, err := parseFrame(line)
+		f, err := ParseWire(line)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if seq <= last {
-			t.Fatalf("frame %d: seq %d not ascending after %d", i, seq, last)
+		if f.Seq <= last {
+			t.Fatalf("frame %d: seq %d not ascending after %d", i, f.Seq, last)
 		}
-		last = seq
+		last = f.Seq
 	}
 }
 

@@ -24,15 +24,11 @@ type View struct {
 	version uint64 // Store.version at build time
 	gen     uint64 // Store.gen at build time
 
-	maxSeq    uint64           // highest sequence number folded in
-	shardLens [shardCount]int  // records consumed per shard
+	maxSeq    uint64          // highest sequence number folded in
+	shardLens [shardCount]int // records consumed per shard
 
 	log        []core.Feedback // all records, sequence (= submission) order
-	seqs       []uint64        // seqs[i] is log[i]'s sequence number; may have
-	// gaps when a racing writer's shard apply lands after the build —
-	// replication (FramesSince, WriteSnapshotTo) must never assume
-	// position i holds sequence base+i+1
-	byService map[core.ServiceID][]core.Feedback
+	byService  map[core.ServiceID][]core.Feedback
 	byConsumer map[core.ConsumerID][]core.Feedback
 	byPair     map[pairKey][]core.Feedback
 	matrix     map[core.ConsumerID]map[core.ServiceID]float64
@@ -73,10 +69,10 @@ func (s *Store) currentView() *View {
 
 // buildView assembles the next view. It reads the store version first and
 // collects shard deltas after, so the resulting view covers at least that
-// version (a record's shard apply happens-before its version bump).
+// version (a record's shard apply happens-before its version bump). Every
+// write lands on nv before currentView publishes it via Store.view.Store.
 //
-//lint:immutable buildView is the constructor: every write lands on nv
-// before currentView publishes it via Store.view.Store.
+//lint:immutable buildView is the constructor
 func (s *Store) buildView(prev *View) *View {
 	version := s.version.Load()
 	gen := s.gen.Load()
@@ -84,19 +80,25 @@ func (s *Store) buildView(prev *View) *View {
 		prev = emptyView(version, gen)
 	}
 
-	// Collect the per-shard record deltas beyond what prev consumed.
-	// Aliasing sh.recs is safe: the region below len is append-only.
+	// Collect the per-shard records beyond prev.maxSeq. Segments are
+	// seq-ascending, so the records prev folded in are exactly those at or
+	// below its maxSeq — unless a racing writer's shard apply landed
+	// among them after prev was built, which would misorder an
+	// incremental extension: rebuild from all shards instead.
 	var delta []record
 	var lens [shardCount]int
+	late := false
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n := len(sh.recs)
-		if n > prev.shardLens[i] {
-			delta = append(delta, sh.recs[prev.shardLens[i]:n:n]...)
-		}
+		n, p := len(sh.recs), sh.after(prev.maxSeq)
+		late = late || p != prev.shardLens[i]
+		delta = append(delta, sh.recs[p:n]...)
 		sh.mu.RUnlock()
 		lens[i] = n
+	}
+	if late {
+		return s.rebuildView(version, gen)
 	}
 	if len(delta) == 0 {
 		nv := *prev
@@ -105,12 +107,6 @@ func (s *Store) buildView(prev *View) *View {
 		return &nv
 	}
 	sort.Slice(delta, func(i, j int) bool { return delta[i].seq < delta[j].seq })
-	if delta[0].seq <= prev.maxSeq {
-		// A racing writer applied a lower sequence number after prev was
-		// built (its shard apply landed late). Incremental extension would
-		// misorder the log; fall back to a full rebuild from all shards.
-		return s.rebuildView(version, gen, lens)
-	}
 
 	nv := &View{
 		version:   version,
@@ -121,7 +117,6 @@ func (s *Store) buildView(prev *View) *View {
 		// refresher appends, and readers of published views are bounded
 		// by their own slice lengths (accessors clip capacity).
 		log:        prev.log,
-		seqs:       prev.seqs,
 		byService:  maps.Clone(prev.byService),
 		byConsumer: maps.Clone(prev.byConsumer),
 		byPair:     maps.Clone(prev.byPair),
@@ -132,7 +127,6 @@ func (s *Store) buildView(prev *View) *View {
 	for _, r := range delta {
 		fb := r.fb
 		nv.log = append(nv.log, fb)
-		nv.seqs = append(nv.seqs, r.seq)
 		if _, ok := nv.byService[fb.Service]; !ok {
 			newService = true
 		}
@@ -169,30 +163,26 @@ func (s *Store) buildView(prev *View) *View {
 }
 
 // rebuildView constructs a view from scratch out of all shard records.
-// lens must have been captured from the shards; only the first lens[i]
-// records of each shard are read (that region is append-only).
 //
 //lint:immutable rebuildView is a constructor: nv is unpublished until returned.
-func (s *Store) rebuildView(version, gen uint64, lens [shardCount]int) *View {
+func (s *Store) rebuildView(version, gen uint64) *View {
 	var all []record
+	nv := emptyView(version, gen)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		all = append(all, sh.recs[:lens[i]:lens[i]]...)
+		all = append(all, sh.recs...)
+		nv.shardLens[i] = len(sh.recs)
 		sh.mu.RUnlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	nv := emptyView(version, gen)
-	nv.shardLens = lens
 	if len(all) > 0 {
 		nv.maxSeq = all[len(all)-1].seq
 	}
 	nv.log = make([]core.Feedback, 0, len(all))
-	nv.seqs = make([]uint64, 0, len(all))
 	for _, r := range all {
 		fb := r.fb
 		nv.log = append(nv.log, fb)
-		nv.seqs = append(nv.seqs, r.seq)
 		nv.byService[fb.Service] = append(nv.byService[fb.Service], fb)
 		nv.byConsumer[fb.Consumer] = append(nv.byConsumer[fb.Consumer], fb)
 		k := pairKey{fb.Consumer, fb.Service}

@@ -3,47 +3,50 @@ package registry
 // This file gives the central QoS registry crash consistency: an
 // append-only, checksummed, line-framed write-ahead log with group
 // commit, periodic snapshot + log compaction, and a recovery path
-// (Open) that replays snapshot + WAL and tolerates the torn final
-// record a crash mid-append leaves behind.
+// (Open) that replays snapshot + WAL and truncates the torn tail a crash
+// mid-append leaves behind.
 //
 // On-disk layout, inside one directory:
 //
-//	wal.wsx       one frame per Submit since the last compaction:
-//	              "w1 <seq> <crc32-hex8> <json>\n"           (epoch 0)
-//	              "w2 <epoch> <seq> <crc32-hex8> <json>\n"   (epoch > 0)
+//	wal.wsx       one frame per record since the last compaction:
+//	              "<epoch> <seq> <crc32-hex8> <json>\n"
 //	snapshot.wsx  the full log at the last compaction:
 //	              "s2 <count> <lastSeq> <crc32-hex8> <bodyLen>\n"
 //	              followed by <count> frames (the <bodyLen> bytes the
-//	              CRC covers); the legacy "s1 <count> <lastSeq>" header
-//	              without a body checksum is still accepted on read
+//	              header CRC covers)
 //	epoch.wsx     the fencing-epoch history (see replication.go):
 //	              "e1 <epoch> <startSeq>\n" per promotion
 //
-// Frames carry a monotonically increasing sequence number, so a crash
-// between "snapshot renamed" and "WAL truncated" is harmless: replay
-// skips WAL frames the snapshot already covers. The snapshot is written
-// to a temp file, fsynced and renamed, so it is never observed half
-// written; the WAL may end in a torn frame, which recovery truncates
-// away with a warning instead of failing the store. A snapshot whose
-// header or body checksum fails to verify (a real disk fault — the
-// atomic write rules out torn snapshots) no longer fails recovery
-// outright: Open falls back to WAL-only replay and reports the corrupt
-// snapshot as a Recovery warning, so a node with a damaged snapshot
-// still serves its WAL suffix instead of refusing to boot.
+// There is one frame layout, written and read everywhere a record is
+// framed: the WAL, the snapshot body and the replication stream. Every
+// frame carries the fencing epoch of the primary that wrote it and its
+// sequence number, and its CRC-32 covers both as well as the payload:
+// it is the IEEE CRC of the JSON payload followed by the header text
+// "<epoch> <seq>", so a flipped bit anywhere in a frame but its newline
+// fails the checksum.
 //
-// Group commit (PR 6): concurrent Submits enqueue encoded frames under a
-// short queue lock; the first enqueuer becomes the flush leader and writes
+// A frame is accepted by one rule, in recovery and in replication alike
+// (checkFrame, after ParseWire verified the checksum): its sequence
+// number extends the log by exactly one, and its epoch is the one the
+// mark history assigns that sequence number. In recovery the first frame
+// that fails the rule starts the torn tail, which Open truncates away and
+// reports instead of failing the store. WAL frames the snapshot already
+// covers (a crash between "snapshot renamed" and "WAL truncated") lead
+// the file and are skipped. The snapshot is written to a temp file,
+// fsynced and renamed, so it is never observed half written; a snapshot
+// whose header, body checksum or frames fail to verify (a real disk
+// fault) is reported as a Recovery warning and Open falls back to
+// WAL-only replay, so a node with a damaged snapshot still serves its WAL
+// suffix instead of refusing to boot.
+//
+// Group commit: concurrent writers enqueue encoded frames under a short
+// queue lock; the first enqueuer becomes the flush leader and writes
 // everything queued — including frames that arrive while it is writing —
-// with a single write + fsync per batch, amortizing the fsync that
-// previously serialized every Submit. Sequence numbers are assigned under
-// the queue lock, so the file's frame order is always seq-ascending and a
-// crash still leaves a clean prefix plus at most one torn frame.
-//
-// Fencing epochs (PR 10): every frame is stamped with the epoch of the
-// primary that wrote it. Epoch 0 frames keep the PR 6 "w1" format
-// byte-for-byte; a promotion bumps the epoch and subsequent frames use
-// the "w2" format carrying it, so a replica can reject frames a fenced
-// old primary wrote after losing leadership (see replication.go).
+// with a single write + fsync per batch. Sequence numbers are assigned
+// under the queue lock, so the file's frame order is always seq-ascending
+// and a crash still leaves a clean prefix plus at most one torn batch.
+// Local submits and replicated frames take the same path (commit), which
+// is why a follower's WAL is byte-identical to its primary's.
 
 import (
 	"bufio"
@@ -65,10 +68,7 @@ import (
 const (
 	walName      = "wal.wsx"
 	snapshotName = "snapshot.wsx"
-	framePrefix  = "w1" // epoch-0 frame (legacy format, still written)
-	framePrefixE = "w2" // epoch-stamped frame
-	snapPrefix   = "s1" // legacy snapshot header, read-only
-	snapPrefixV2 = "s2" // checksummed snapshot header
+	snapPrefix   = "s2" // snapshot header tag
 )
 
 // WALOptions tune the durability/throughput trade of a WAL-backed store.
@@ -94,8 +94,9 @@ type Recovery struct {
 	// SkippedRecords counts WAL frames the snapshot already covered
 	// (a crash landed between snapshot rename and WAL truncation).
 	SkippedRecords int
-	// Torn reports that the WAL ended in a partial or corrupt frame;
-	// TornBytes is how many trailing bytes were truncated away.
+	// Torn reports that the WAL ended in a partial, corrupt or
+	// out-of-sequence frame; TornBytes is how many trailing bytes were
+	// truncated away.
 	Torn      bool
 	TornBytes int64
 	// SnapshotCorrupt reports that snapshot.wsx existed but failed its
@@ -131,7 +132,6 @@ func (r Recovery) String() string {
 // (Snapshot/Sync/Close hold Store.state exclusively), never both at once.
 type walWriter struct {
 	dir  string
-	path string
 	f    *os.File
 	opts WALOptions
 
@@ -148,126 +148,33 @@ type walWriter struct {
 	broken        error     // guarded by mu: sticky first write/fsync failure
 }
 
-// commit assigns the next sequence number, enqueues one frame stamped with
-// the writer's fencing epoch, and returns once that frame has been written
-// to the WAL file (and fsynced, when the SyncEvery policy calls for it).
+// commit is the one enqueue-and-await routine of the WAL: it appends
+// frames to the queue and returns once every one of them has been written
+// to the file (and fsynced, when the SyncEvery policy calls for it).
+// Local records (assign set) take the next sequence numbers from seqSrc
+// under the queue lock, written back into frames[i].Seq, so the file's
+// frame order is seq-ascending. Replicated frames (assign clear) arrive
+// numbered by their primary and must extend seqSrc exactly; seqSrc
+// advances to the last of them, and their bytes match the primary's.
+//
 // The first committer to find the queue idle becomes the leader and
-// performs one write (+ one fsync) for every frame queued meanwhile; later
-// committers merely wait for their frame's acknowledgement. Sequence
-// numbers are taken from seqSrc under the queue lock so the file's frame
-// order is seq-ascending.
+// performs one write (+ one fsync) for every frame queued meanwhile;
+// later committers wait for their frames' acknowledgement. Any write or
+// fsync failure marks the whole WAL broken: bytes of a torn batch may
+// already be on disk, so retrying in place could interleave frames out of
+// order. Every queued and future commit then fails with the same error;
+// recovery (Open) handles the torn tail. Only the seq assignment and the
+// frame append run under the queue mutex.
 //
-// Any write or fsync failure marks the whole WAL broken: bytes of a torn
-// batch may already be on disk, so retrying in place could interleave
-// frames out of order. Every queued and future commit then fails with the
-// same error; recovery (Open) handles the torn tail.
-//
-//lint:hotpath commit is on every Submit; only the seq assignment and the
-// frame append may run under the queue mutex.
-func (w *walWriter) commit(seqSrc *atomic.Uint64, epoch uint64, payload []byte) (uint64, error) {
-	// The checksum covers only the payload, so it can be computed before
-	// taking the queue lock; only the sequence number needs the lock.
-	crc := crc32.ChecksumIEEE(payload)
-	w.mu.Lock()
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return 0, err
+//lint:hotpath commit is on every Submit
+func (w *walWriter) commit(seqSrc *atomic.Uint64, frames []Frame, assign bool) error {
+	// The payload part of each checksum needs no lock; only the header
+	// digits, which hold the sequence number, are hashed under it.
+	var one [1]uint32
+	crcs := one[:]
+	if len(frames) > 1 {
+		crcs = make([]uint32, len(frames))
 	}
-	seq := seqSrc.Add(1)
-	w.pending = appendFrame(w.pending, epoch, seq, crc, payload)
-	w.pendingFrames++
-	w.pendingTop = seq
-	if w.flushing {
-		// Follower: a leader is already draining the queue and will pick
-		// this frame up; wait for it to be acknowledged.
-		for w.acked < seq && w.broken == nil {
-			w.flushed.Wait()
-		}
-	} else {
-		w.flushing = true
-		w.lead()
-		w.flushing = false
-		w.flushed.Broadcast()
-	}
-	ok := w.acked >= seq
-	err := w.broken
-	w.mu.Unlock()
-	if !ok {
-		return 0, err
-	}
-	return seq, nil
-}
-
-// commitBatch enqueues a batch of frames under one queue-lock acquisition
-// and returns the sequence number of the first, once every frame in the
-// batch has been written (frames are contiguous: first..first+len-1). The
-// batch shares one group commit — and therefore at most one fsync — with
-// whatever else is queued, which is what makes bulk trust-delta merges
-// (Store.SubmitBatch) cheap: N records cost one leader drain instead of N
-// rounds of the commit protocol. Failure semantics match commit: any
-// write/fsync error marks the WAL broken and the whole batch is rejected.
-//
-//lint:hotpath commitBatch carries every bulk /local-trust merge; only the
-// seq assignments and frame appends may run under the queue mutex.
-func (w *walWriter) commitBatch(seqSrc *atomic.Uint64, epoch uint64, payloads [][]byte) (uint64, error) {
-	if len(payloads) == 0 {
-		return 0, errors.New("registry: empty wal batch")
-	}
-	// Checksums cover only payload bytes: compute them all before taking
-	// the queue lock, exactly as commit does for its single frame.
-	crcs := make([]uint32, len(payloads))
-	for i, p := range payloads {
-		crcs[i] = crc32.ChecksumIEEE(p)
-	}
-	w.mu.Lock()
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return 0, err
-	}
-	var first, last uint64
-	for i, p := range payloads {
-		seq := seqSrc.Add(1)
-		if i == 0 {
-			first = seq
-		}
-		last = seq
-		w.pending = appendFrame(w.pending, epoch, seq, crcs[i], p)
-	}
-	w.pendingFrames += len(payloads)
-	w.pendingTop = last
-	if w.flushing {
-		for w.acked < last && w.broken == nil {
-			w.flushed.Wait()
-		}
-	} else {
-		w.flushing = true
-		w.lead()
-		w.flushing = false
-		w.flushed.Broadcast()
-	}
-	ok := w.acked >= last
-	err := w.broken
-	w.mu.Unlock()
-	if !ok {
-		return 0, err
-	}
-	return first, nil
-}
-
-// commitReplicated appends frames that were assigned their sequence
-// numbers and epochs by another node — the follower side of WAL shipping
-// (Store.ApplyReplicated). The frames must be contiguous and extend the
-// store's sequence exactly; seqSrc is advanced to the last frame under the
-// queue lock, so the on-disk bytes of a replica's WAL match the primary's
-// frame for frame (only the group-commit batching differs). The flush
-// protocol and failure semantics are commit's.
-func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	crcs := make([]uint32, len(frames))
 	for i := range frames {
 		crcs[i] = crc32.ChecksumIEEE(frames[i].Payload)
 	}
@@ -277,11 +184,14 @@ func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) erro
 		w.mu.Unlock()
 		return err
 	}
-	if got, want := frames[0].Seq, seqSrc.Load()+1; got != want {
+	if want := seqSrc.Load() + 1; !assign && frames[0].Seq != want {
 		w.mu.Unlock()
-		return fmt.Errorf("registry: %w: replicated frame seq %d, want %d", ErrSeqGap, got, want)
+		return fmt.Errorf("%w: replicated frame seq %d, want %d", ErrSeqGap, frames[0].Seq, want) //lint:hotalloc cold path: a misnumbered replicated batch
 	}
 	for i := range frames {
+		if assign {
+			frames[i].Seq = seqSrc.Add(1)
+		}
 		w.pending = appendFrame(w.pending, frames[i].Epoch, frames[i].Seq, crcs[i], frames[i].Payload)
 	}
 	last := frames[len(frames)-1].Seq
@@ -289,6 +199,8 @@ func (w *walWriter) commitReplicated(seqSrc *atomic.Uint64, frames []Frame) erro
 	w.pendingFrames += len(frames)
 	w.pendingTop = last
 	if w.flushing {
+		// A leader is already draining the queue and will pick these
+		// frames up; wait for them to be acknowledged.
 		for w.acked < last && w.broken == nil {
 			w.flushed.Wait()
 		}
@@ -380,23 +292,33 @@ func (w *walWriter) shouldCompact() bool {
 	return w.frames >= w.opts.SnapshotEvery
 }
 
-// resetAfterCompact clears the frame accounting once the WAL file has been
-// truncated under a fresh snapshot.
-func (w *walWriter) resetAfterCompact() {
+// truncate empties the WAL file and the writer's queue accounting: after a
+// compaction (the frames now live in the snapshot), a replica re-seed, or
+// ResetReplica. Callers hold the store's state lock exclusively, so no
+// commit is in flight.
+func (w *walWriter) truncate() error {
+	if err := w.f.Truncate(0); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.frames = 0
+	w.pending = w.pending[:0]
+	w.pendingFrames = 0
+	w.pendingTop = 0
+	w.acked = 0
 	w.unsynced = 0
+	w.frames = 0
+	return nil
 }
 
 // Open builds (or recovers) a durable Store rooted at dir. It replays
-// snapshot.wsx then wal.wsx, verifying checksums; a torn final WAL record
-// — the state a crash mid-append leaves — is truncated away and reported
-// in Recovery rather than failing the store, and a snapshot that fails its
-// checksum is skipped (WAL-only replay) with a Recovery warning rather
-// than refusing recovery. Subsequent Submits append to the WAL before
-// touching memory, so anything acknowledged is durable up to the fsync
-// batching window.
+// snapshot.wsx then wal.wsx, verifying every frame; the torn tail a crash
+// mid-append leaves — or any frame that fails its checksum, its sequence
+// or its epoch — is truncated away and reported in Recovery rather than
+// failing the store, and a snapshot that fails verification is skipped
+// (WAL-only replay) with a Recovery warning rather than refusing
+// recovery. Subsequent Submits append to the WAL before touching memory,
+// so anything acknowledged is durable up to the fsync batching window.
 //
 //lint:guarded Open constructs the store; it is not shared until returned
 func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
@@ -412,7 +334,7 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 	}
 	s.installMarksLocked(marks)
 
-	snapFrames, lastSeq, corrupt, err := readSnapshot(filepath.Join(dir, snapshotName))
+	snap, corrupt, err := readSnapshot(filepath.Join(dir, snapshotName))
 	if err != nil {
 		return nil, rec, err
 	}
@@ -422,21 +344,20 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 		// compaction instead of failing recovery outright.
 		rec.SnapshotCorrupt = true
 		rec.SnapshotWarning = corrupt.Error()
-		lastSeq = 0
 	} else {
-		for _, fr := range snapFrames {
-			s.applyRecovered(fr.seq, fr.fb)
+		base := snap.lastSeq - uint64(len(snap.log))
+		for i, fb := range snap.log {
+			s.applyRecovered(base+uint64(i)+1, fb)
 		}
-		rec.SnapshotRecords = len(snapFrames)
-	}
-	if lastSeq > s.seq.Load() {
-		s.seq.Store(lastSeq)
+		s.seq.Store(snap.lastSeq)
+		rec.SnapshotRecords = len(snap.log)
 	}
 
 	walPath := filepath.Join(dir, walName)
-	if err := s.replayWAL(walPath, lastSeq, &rec); err != nil {
+	if err := s.replayWAL(walPath, snap.lastSeq, corrupt != nil, &rec); err != nil {
 		return nil, rec, err
 	}
+	s.version.Add(1)
 
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -444,7 +365,6 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 	}
 	w := &walWriter{
 		dir:    dir,
-		path:   walPath,
 		f:      f,
 		opts:   opts,
 		frames: rec.WALRecords + rec.SkippedRecords,
@@ -454,88 +374,90 @@ func Open(dir string, opts WALOptions) (*Store, Recovery, error) {
 	return s, rec, nil
 }
 
-// snapFrame is one parsed snapshot record, held until the whole snapshot
-// has verified so a corrupt snapshot never half-applies.
-type snapFrame struct {
-	seq uint64
-	fb  core.Feedback
+// snapshotDoc is a verified snapshot document: the records
+// lastSeq-len(log)+1 .. lastSeq, in sequence order.
+type snapshotDoc struct {
+	log     []core.Feedback
+	lastSeq uint64
 }
 
 // readSnapshot parses and verifies the compacted log. A missing snapshot
-// is a fresh store (all zero returns). I/O failures return err; any
-// structural or checksum failure returns corrupt instead — the caller
-// falls back to WAL-only replay. Records are collected and only handed
-// back once the whole file verified, so a corrupt snapshot contributes
-// nothing rather than a half-applied prefix.
-func readSnapshot(path string) (frames []snapFrame, lastSeq uint64, corrupt, err error) {
+// is a fresh store (zero document). I/O failures return err; any
+// structural or checksum failure returns corrupt instead —
+// the caller falls back to WAL-only replay.
+func readSnapshot(path string) (doc snapshotDoc, corrupt, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil, nil
+		return doc, nil, nil
 	}
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("registry: read snapshot: %w", err)
+		return doc, nil, fmt.Errorf("registry: read snapshot: %w", err)
 	}
-	return parseSnapshotDoc(data, path)
+	doc, corrupt = parseSnapshotDoc(data, path)
+	return doc, corrupt, nil
 }
 
 // parseSnapshotDoc verifies and decodes a snapshot document (from disk or
-// a replica transfer). Structural/checksum problems come back as corrupt,
-// never half-applied records; label names the source in error messages.
-func parseSnapshotDoc(data []byte, label string) (frames []snapFrame, lastSeq uint64, corrupt, err error) {
-	path := label
+// a replica transfer): the header, the body checksum, every frame's
+// checksum, and the dense numbering lastSeq-count+1 .. lastSeq. The
+// frames' epochs are not held against a mark history: a seed adopts them
+// with the document. Any failure comes back as a zero document and an
+// error naming label — never half-applied records.
+func parseSnapshotDoc(data []byte, label string) (snapshotDoc, error) {
 	line, body, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok {
-		return nil, 0, fmt.Errorf("snapshot %s: missing header", path), nil
+		return snapshotDoc{}, fmt.Errorf("snapshot %s: missing header", label)
 	}
 	fields := strings.Fields(string(line))
-	var count int
-	var last uint64
-	switch {
-	case len(fields) == 5 && fields[0] == snapPrefixV2:
-		c, err1 := strconv.Atoi(fields[1])
-		l, err2 := strconv.ParseUint(fields[2], 10, 64)
-		wantCRC, err3 := strconv.ParseUint(fields[3], 16, 32)
-		bodyLen, err4 := strconv.ParseInt(fields[4], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || c < 0 || bodyLen < 0 {
-			return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
-		}
-		if int64(len(body)) != bodyLen {
-			return nil, 0, fmt.Errorf("snapshot %s: body is %d bytes, header says %d", path, len(body), bodyLen), nil
-		}
-		if got := crc32.ChecksumIEEE(body); got != uint32(wantCRC) {
-			return nil, 0, fmt.Errorf("snapshot %s: body checksum mismatch (%08x != %08x)", path, got, uint32(wantCRC)), nil
-		}
-		count, last = c, l
-	case len(fields) == 3 && fields[0] == snapPrefix:
-		// Legacy header: no body checksum; per-frame CRCs still verify.
-		c, err1 := strconv.Atoi(fields[1])
-		l, err2 := strconv.ParseUint(fields[2], 10, 64)
-		if err1 != nil || err2 != nil || c < 0 {
-			return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
-		}
-		count, last = c, l
-	default:
-		return nil, 0, fmt.Errorf("snapshot %s: bad header %q", path, line), nil
+	if len(fields) != 5 || fields[0] != snapPrefix {
+		return snapshotDoc{}, fmt.Errorf("snapshot %s: bad header %q", label, line)
 	}
-	rest := body
-	for i := 0; i < count; i++ {
+	count, err1 := strconv.ParseUint(fields[1], 10, 64)
+	last, err2 := strconv.ParseUint(fields[2], 10, 64)
+	wantCRC, err3 := strconv.ParseUint(fields[3], 16, 32)
+	bodyLen, err4 := strconv.ParseUint(fields[4], 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || count > last {
+		return snapshotDoc{}, fmt.Errorf("snapshot %s: bad header %q", label, line)
+	}
+	if uint64(len(body)) != bodyLen {
+		return snapshotDoc{}, fmt.Errorf("snapshot %s: body is %d bytes, header says %d", label, len(body), bodyLen)
+	}
+	if got := crc32.ChecksumIEEE(body); got != uint32(wantCRC) {
+		return snapshotDoc{}, fmt.Errorf("snapshot %s: body checksum mismatch (%08x != %08x)", label, got, uint32(wantCRC))
+	}
+	doc := snapshotDoc{lastSeq: last}
+	prev := last - count
+	for rest := body; uint64(len(doc.log)) < count; {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
 		if !ok {
-			return nil, 0, fmt.Errorf("snapshot %s: %d of %d records, then truncated", path, i, count), nil
+			return snapshotDoc{}, fmt.Errorf("snapshot %s: %d of %d records, then truncated", label, len(doc.log), count)
 		}
 		rest = next
-		_, seq, fb, err := parseFrame(line)
-		if err != nil {
-			return nil, 0, fmt.Errorf("snapshot %s record %d: %w", path, i, err), nil
+		f, err := ParseWire(line)
+		if err == nil && f.Seq != prev+1 {
+			err = fmt.Errorf("%w: frame %d follows %d", ErrSeqGap, f.Seq, prev)
 		}
-		frames = append(frames, snapFrame{seq: seq, fb: fb})
+		var fb core.Feedback
+		if err == nil {
+			fb, err = f.Feedback()
+		}
+		if err != nil {
+			return snapshotDoc{}, fmt.Errorf("snapshot %s record %d: %w", label, len(doc.log), err)
+		}
+		doc.log = append(doc.log, fb)
+		prev = f.Seq
 	}
-	return frames, last, nil, nil
+	return doc, nil
 }
 
-// replayWAL applies every intact frame with seq > snapLastSeq, then
-// truncates any torn tail so future appends extend the durable prefix.
-func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) error {
+// replayWAL applies the WAL frames that extend the recovered log, then
+// truncates the rest so future appends extend the durable prefix. Frames
+// the snapshot covers lead the file and are skipped; every other frame
+// must pass checkFrame against the frame before it, and the first one
+// that fails — like a frame whose checksum fails or that lacks its
+// newline — starts the torn tail. Without a trustworthy snapshot
+// (fallback) the first WAL frame sets the cursor.
+func (s *Store) replayWAL(path string, snapLastSeq uint64, fallback bool, rec *Recovery) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -543,21 +465,33 @@ func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) error 
 	if err != nil {
 		return fmt.Errorf("registry: read wal: %w", err)
 	}
-	offset := int64(0) // end of the last intact frame
-	rest := data
-	for len(rest) > 0 {
+	marks := s.Marks()
+	prev := snapLastSeq
+	offset := int64(0) // end of the last accepted frame
+	for rest := data; len(rest) > 0; {
 		line, next, ok := bytes.Cut(rest, []byte{'\n'})
 		if !ok {
 			break // no newline: a frame torn mid-write
 		}
-		_, seq, fb, err := parseFrame(line)
+		f, err := ParseWire(line)
 		if err != nil {
-			break // short or checksum-failed frame: torn tail starts here
+			break
 		}
-		if seq <= snapLastSeq {
+		if rec.WALRecords == 0 && !fallback && f.Seq <= snapLastSeq {
 			rec.SkippedRecords++
 		} else {
-			s.applyRecovered(seq, fb)
+			if rec.WALRecords == 0 && fallback {
+				prev = f.Seq - 1
+			}
+			var fb core.Feedback
+			if err = checkFrame(f, prev, marks); err == nil {
+				fb, err = f.Feedback()
+			}
+			if err != nil {
+				break
+			}
+			s.applyRecovered(f.Seq, fb)
+			prev = f.Seq
 			rec.WALRecords++
 		}
 		offset += int64(len(line)) + 1
@@ -573,26 +507,20 @@ func (s *Store) replayWAL(path string, snapLastSeq uint64, rec *Recovery) error 
 	return nil
 }
 
-// appendFrame renders one WAL frame — prefix, optional epoch, sequence
-// number, CRC-32 of the payload as fixed-width hex, payload, newline —
-// appending into dst. Epoch-0 frames keep the legacy "w1" layout
-// byte-for-byte; frames written after a promotion carry their epoch in
-// the "w2" layout. It replaced a fmt.Sprintf-based encoder that allocated
-// a fresh []byte per frame while commit held the queue mutex; appending
-// straight into the pending buffer with strconv keeps the critical
-// section to the bytes themselves.
+// appendFrame renders one frame — "<epoch> <seq> <crc32-hex8> <payload>\n"
+// — appending into dst. payloadCRC is the IEEE CRC of payload alone; the
+// frame checksum extends it over the "<epoch> <seq>" header just
+// appended, so under the queue mutex only those few digits are hashed.
+// Appending straight into the pending buffer with strconv keeps the
+// critical section to the bytes themselves.
 //
 //lint:hotpath runs under walWriter.mu on every Submit
-func appendFrame(dst []byte, epoch, seq uint64, crc uint32, payload []byte) []byte {
-	if epoch == 0 {
-		dst = append(dst, framePrefix...)
-	} else {
-		dst = append(dst, framePrefixE...)
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, epoch, 10)
-	}
+func appendFrame(dst []byte, epoch, seq uint64, payloadCRC uint32, payload []byte) []byte {
+	head := len(dst)
+	dst = strconv.AppendUint(dst, epoch, 10)
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, seq, 10)
+	crc := crc32.Update(payloadCRC, crc32.IEEETable, dst[head:])
 	dst = append(dst, ' ')
 	const hexdigits = "0123456789abcdef"
 	var hex [8]byte
@@ -604,20 +532,6 @@ func appendFrame(dst []byte, epoch, seq uint64, crc uint32, payload []byte) []by
 	dst = append(dst, ' ')
 	dst = append(dst, payload...)
 	return append(dst, '\n')
-}
-
-// parseFrame decodes and checksum-verifies one frame line (without its
-// trailing newline) and unmarshals the feedback payload.
-func parseFrame(line []byte) (epoch, seq uint64, fb core.Feedback, err error) {
-	f, err := ParseWire(line)
-	if err != nil {
-		return 0, 0, fb, err
-	}
-	fb, err = f.Feedback()
-	if err != nil {
-		return 0, 0, fb, err
-	}
-	return f.Epoch, f.Seq, fb, nil
 }
 
 // Durable reports whether the store is WAL-backed (built by Open, not
@@ -651,7 +565,7 @@ func (s *Store) Snapshot() error {
 	return s.snapshotLocked()
 }
 
-// compact runs the auto-compaction a Submit triggered, re-checking the
+// compact runs the auto-compaction a commit triggered, re-checking the
 // threshold under the exclusive state lock so concurrent triggers collapse
 // into one snapshot.
 func (s *Store) compact() error {
@@ -663,28 +577,25 @@ func (s *Store) compact() error {
 	return s.snapshotLocked()
 }
 
-// buildSnapshotDoc renders the full snapshot document — checksummed s2
-// header plus one frame per record — for the given log. Snapshot frames
-// re-number densely from lastSeq-len+1..lastSeq (the identity mapping in
-// practice, since sequence numbers are contiguous); each frame carries the
-// epoch the marks assign its sequence number, so a replica seeded from
-// this document reconstructs a byte-identical history.
-func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) ([]byte, error) {
-	var body []byte
-	base := lastSeq - uint64(len(log))
-	var frame []byte
-	for i, fb := range log {
+// buildSnapshotDoc renders a snapshot document — the checksummed s2
+// header and the body of frames it covers — for log, the records
+// lastSeq-len(log)+1 .. lastSeq in order. Each frame carries the epoch
+// the marks assign its sequence number, so a replica seeded from the
+// document reconstructs a byte-identical history. Header and body come
+// back separately so a large body is never copied to prepend the header.
+func buildSnapshotDoc(log []core.Feedback, lastSeq uint64, marks []EpochMark) (header, body []byte, err error) {
+	seq := lastSeq - uint64(len(log))
+	for _, fb := range log {
 		payload, err := marshalRecord(fb)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		seq := base + uint64(i) + 1
-		frame = appendFrame(frame[:0], epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
-		body = append(body, frame...)
+		seq++
+		body = appendFrame(body, epochAt(marks, seq), seq, crc32.ChecksumIEEE(payload), payload)
 	}
-	header := fmt.Sprintf("%s %d %d %08x %d\n",
-		snapPrefixV2, len(log), lastSeq, crc32.ChecksumIEEE(body), len(body))
-	return append([]byte(header), body...), nil
+	header = fmt.Appendf(nil, "%s %d %d %08x %d\n",
+		snapPrefix, len(log), lastSeq, crc32.ChecksumIEEE(body), len(body))
+	return header, body, nil
 }
 
 // snapshotLocked writes snapshot.wsx.tmp, fsyncs, renames it over
@@ -699,25 +610,26 @@ func (s *Store) snapshotLocked() error {
 	if err := s.wal.sync(); err != nil {
 		return err
 	}
-	w := s.wal
-	doc, err := buildSnapshotDoc(s.currentView().log, s.seq.Load(), s.Marks())
+	// With the world quiesced the view holds every record, so its log is
+	// exactly lastSeq-len(log)+1 .. lastSeq.
+	header, body, err := buildSnapshotDoc(s.currentView().log, s.seq.Load(), s.Marks())
 	if err != nil {
 		return fmt.Errorf("registry: snapshot: %w", err)
 	}
-	if err := writeFileAtomic(w.dir, snapshotName, doc); err != nil {
+	if err := writeFileAtomic(s.wal.dir, snapshotName, header, body); err != nil {
 		return fmt.Errorf("registry: snapshot: %w", err)
 	}
 	// The snapshot is durable; the WAL's frames are now redundant.
-	if err := w.f.Truncate(0); err != nil {
+	if err := s.wal.truncate(); err != nil {
 		return fmt.Errorf("registry: wal truncate after snapshot: %w", err)
 	}
-	w.resetAfterCompact()
 	return nil
 }
 
-// writeFileAtomic lands data at dir/name via the temp + fsync + rename +
-// dir-fsync dance, so the file is never observed half written.
-func writeFileAtomic(dir, name string, data []byte) error {
+// writeFileAtomic lands the concatenated chunks at dir/name via the temp +
+// fsync + rename + dir-fsync dance, so the file is never observed half
+// written.
+func writeFileAtomic(dir, name string, chunks ...[]byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -725,8 +637,10 @@ func writeFileAtomic(dir, name string, data []byte) error {
 	}
 	bw := bufio.NewWriter(f)
 	werr := func() error {
-		if _, err := bw.Write(data); err != nil {
-			return err
+		for _, c := range chunks {
+			if _, err := bw.Write(c); err != nil {
+				return err
+			}
 		}
 		if err := bw.Flush(); err != nil {
 			return err

@@ -155,6 +155,130 @@ func TestWALChecksumCorruption(t *testing.T) {
 	}
 }
 
+// walLines reads dir's WAL as frame lines (newlines kept).
+func walLines(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.SplitAfter(data, []byte{'\n'})
+}
+
+// writeWAL replaces dir's WAL with the given frame lines.
+func writeWAL(t *testing.T, dir string, lines [][]byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, walName), bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// headerField locates a frame line's sequence field (back=1) or epoch
+// field (back=2), counting fields backwards from the checksum that
+// precedes the JSON payload.
+func headerField(line []byte, back int) (start, end int) {
+	end = bytes.Index(line, []byte(" {")) - 9 // " <crc32-hex8>" precedes the payload
+	for {
+		start = bytes.LastIndexByte(line[:end], ' ') + 1
+		if back--; back == 0 {
+			return start, end
+		}
+		end = start - 1
+	}
+}
+
+// expectTornAt reopens dir and requires recovery to stop just before the
+// frame with sequence number torn: everything earlier applied, the frame
+// and everything after it truncated away, and the store writable again
+// at the next sequence number.
+func expectTornAt(t *testing.T, dir string, torn int) {
+	t.Helper()
+	re, rec := openT(t, dir, WALOptions{})
+	defer func() {
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	want := torn - 1
+	if !rec.Torn || rec.WALRecords != want || re.Len() != want || re.LastSeq() != uint64(want) {
+		t.Fatalf("recovery %s left len %d seq %d; want torn at frame %d, %d records", rec, re.Len(), re.LastSeq(), torn, want)
+	}
+	if got := len(walLines(t, dir)) - 1; got != want {
+		t.Fatalf("WAL holds %d frames after truncation, want %d", got, want)
+	}
+	if err := re.Submit(richFeedback(500)); err != nil {
+		t.Fatal(err)
+	}
+	if re.LastSeq() != uint64(torn) {
+		t.Fatalf("next submit took seq %d, want %d", re.LastSeq(), torn)
+	}
+}
+
+// TestWALRecoveryStopsAtFlippedSeq flips one bit in frame 5's sequence
+// field ("5" becomes "7"). The checksum covers the header, so recovery
+// must treat the frame as the start of the torn tail — never install a
+// second record 7 and leave a hole at 5.
+func TestWALRecoveryStopsAtFlippedSeq(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, WALOptions{SyncEvery: 1})
+	submitN(t, s, 0, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := walLines(t, dir)
+	_, end := headerField(lines[4], 1)
+	lines[4][end-1] ^= 0x02
+	writeWAL(t, dir, lines)
+	expectTornAt(t, dir, 5)
+}
+
+// TestWALRecoveryStopsAtFlippedEpoch flips one bit in frame 5's epoch
+// field ("1" becomes "3"): recovery must stop there as well.
+func TestWALRecoveryStopsAtFlippedEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, WALOptions{SyncEvery: 1})
+	if _, err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, s, 0, 10)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := walLines(t, dir)
+	start, _ := headerField(lines[4], 2)
+	lines[4][start] ^= 0x02
+	writeWAL(t, dir, lines)
+	expectTornAt(t, dir, 5)
+}
+
+// TestWALRecoveryAppliesFrameRule feeds recovery frames whose checksums
+// are intact but which break the frame rule — a skipped or repeated
+// sequence number, an epoch the mark history does not assign — and
+// requires the same torn-tail treatment a checksum failure gets.
+func TestWALRecoveryAppliesFrameRule(t *testing.T) {
+	cases := []struct {
+		name   string
+		frames [][2]uint64 // {epoch, seq}
+		torn   int
+	}{
+		{"gap", [][2]uint64{{0, 1}, {0, 2}, {0, 3}, {0, 5}, {0, 6}}, 4},
+		{"repeat", [][2]uint64{{0, 1}, {0, 2}, {0, 2}, {0, 3}}, 3},
+		{"unmarked epoch", [][2]uint64{{0, 1}, {0, 2}, {2, 3}, {0, 4}}, 3},
+		{"not from one", [][2]uint64{{0, 4}, {0, 5}}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var lines [][]byte
+			for i, f := range tc.frames {
+				lines = append(lines, frameFor(t, f[0], f[1], i).AppendWire(nil))
+			}
+			writeWAL(t, dir, lines)
+			expectTornAt(t, dir, tc.torn)
+		})
+	}
+}
+
 // TestWALSnapshotCompaction drives auto-compaction and verifies the
 // snapshot+WAL pair replays to the identical store, including after a
 // crash window between snapshot rename and WAL truncation (simulated by

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -475,5 +477,71 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Store: registry.NewStore()}); err == nil {
 		t.Fatal("empty primary accepted")
+	}
+}
+
+// TestIdleStreamEndsAfterMaxPark enforces the bound on a caught-up
+// stream's park: with no commits, the handler must end the response —
+// a clean, empty 200 — within about maxPark, and the follower must take
+// that as a clean end of stream, reconnect, and keep applying commits.
+func TestIdleStreamEndsAfterMaxPark(t *testing.T) {
+	st := registry.NewStore()
+	submitN(t, st, 0, 5)
+	var streams atomic.Int64
+	mux := http.NewServeMux()
+	(&Source{Store: st}).Register(mux)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/wal/stream" {
+			streams.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	local := registry.NewStore()
+	f, _ := newFollower(t, srv.URL, local)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	// Meanwhile a caught-up cursor of our own parks, then ends cleanly
+	// with no frames.
+	start := simclock.Wall().Now()
+	resp, err := http.Get(srv.URL + "/wal/stream?from=5&fromEpoch=0&fence=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := simclock.Wall().Now().Sub(start); resp.StatusCode != http.StatusOK || len(body) != 0 || waited < maxPark/2 || waited > 20*maxPark {
+		t.Fatalf("idle stream: status %d, %d body bytes after %v; want an empty 200 after about %v", resp.StatusCode, len(body), waited, maxPark)
+	}
+
+	// The follower's stream ended the same way; it must have reconnected
+	// (its first stream, ours, and at least one more).
+	for i := 0; i < 400 && streams.Load() < 3; i++ {
+		simclock.SleepWall(10 * time.Millisecond)
+	}
+	if n := streams.Load(); n < 3 {
+		t.Fatalf("%d streams opened against an idle primary, want the follower to reconnect after its park", n)
+	}
+	submitN(t, st, 5, 8)
+	for i := 0; i < 500 && local.LastSeq() < 8; i++ {
+		simclock.SleepWall(10 * time.Millisecond)
+	}
+	if local.LastSeq() != 8 || local.Len() != 8 {
+		t.Fatalf("follower at seq %d with %d records after reconnects, want 8", local.LastSeq(), local.Len())
 	}
 }

@@ -5,14 +5,23 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"wstrust/internal/registry"
+	"wstrust/internal/simclock"
 )
 
+// maxPark bounds each wait of a caught-up stream for the next commit.
+// A stream idle that long ends with a clean 200 and the follower
+// reconnects from its cursor, so no handler outlives the server that
+// mounted it by more than maxPark — http.Server.Shutdown and
+// httptest.Server.Close wait for handlers to return.
+const maxPark = 250 * time.Millisecond
+
 // Source is the primary side of replication: three HTTP handlers mounted
-// on a registry-backed server. Every read serves from the store's
-// immutable copy-on-write views, so shipping frames never contends with
-// the write path.
+// on a registry-backed server. Frames and snapshots are read from the
+// store's shard segments under brief read locks, so shipping frames
+// never blocks the write path.
 type Source struct {
 	// Store is the registry being replicated.
 	Store *registry.Store
@@ -57,7 +66,7 @@ func (src *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot transfers the full state as one checksummed snapshot
 // document — the bootstrap path for an empty or diverged follower. The
-// document is rendered from one consistent view; the follower verifies
+// document covers a contiguous prefix of the log; the follower verifies
 // the body checksum before applying anything.
 func (src *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	src.setEpochHeaders(w)
@@ -72,8 +81,9 @@ func (src *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleStream is the WAL tailer: it streams committed frames with
 // sequence numbers > from in wire format over a chunked response,
 // flushing after every batch, and blocks on the store's commit broadcast
-// when caught up — a long poll that ends only when the client goes away,
-// the server drains, or the follower's cursor proves incompatible.
+// when caught up — a long poll that ends when the client goes away, the
+// server drains, the follower's cursor proves incompatible, or no commit
+// arrives within maxPark (the follower then reconnects).
 //
 // Query parameters: from (cursor — last sequence the follower holds),
 // fromEpoch (the epoch the follower's mark history assigns to that
@@ -161,6 +171,8 @@ func (src *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-updates:
+		case <-simclock.AfterWall(maxPark):
+			return
 		case <-r.Context().Done():
 			return
 		case <-src.drain():

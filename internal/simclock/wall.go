@@ -19,3 +19,8 @@ func (wallClock) Now() time.Time { return time.Now() }
 // (cmd/wsxload's open-loop pacer): simulation code never sleeps, and the
 // determinism lint confines real sleeping to this seam.
 func SleepWall(d time.Duration) { time.Sleep(d) }
+
+// AfterWall returns a channel that receives once d has elapsed on the
+// operating-system clock. It bounds a serving process's long polls
+// (replica.Source's stream parks) through the same seam as SleepWall.
+func AfterWall(d time.Duration) <-chan time.Time { return time.After(d) }
